@@ -24,7 +24,7 @@
 //! correctness pin.
 
 use rda_bench::hotbench::{
-    admission_batch_ops, admission_ops, calibration_ops, churn_ops, compare_reports, measure,
+    admission_ops, calibration_ops, churn_ops, compare_reports, measure,
     sweep_cell, sweep_grid, BenchResult, CALIBRATION, SWEEP_GRID_CELLS,
 };
 use rda_metrics::Json;
@@ -120,9 +120,6 @@ fn main() -> ExitCode {
     }));
     results.push(measure("pp_admission_pair", 10_000, warm, n_fast, probe, || {
         admission_ops(10_000)
-    }));
-    results.push(measure("admission_throughput", 64_000, warm, n_fast, probe, || {
-        admission_batch_ops(64_000)
     }));
     results.push(measure("waitlist_churn_round", 2_000, warm, n_fast, probe, || {
         churn_ops(2_000)

@@ -14,9 +14,7 @@
 //! no adaptive iteration search, which would make the sample layout
 //! (and the allocation counts per sample) depend on machine speed.
 
-use rda_core::{
-    mb, BeginOutcome, BeginRequest, PolicyKind, PpDemand, RdaConfig, RdaExtension, SiteId,
-};
+use rda_core::{mb, PolicyKind, PpDemand, RdaConfig, RdaExtension, SiteId};
 use rda_machine::{MachineConfig, ReuseLevel};
 use rda_metrics::Json;
 use rda_sched::ProcessId;
@@ -52,53 +50,6 @@ pub fn admission_ops(pairs: usize) -> u64 {
         t += 100;
         ext.pp_end(pp, SimTime::from_cycles(t))
             .expect("period is live");
-    }
-    let s = ext.stats();
-    s.begins ^ s.ends.rotate_left(17) ^ s.fast_begins.rotate_left(34)
-}
-
-/// Batched admission throughput: `pairs` pp_begin/pp_end lifecycles
-/// driven through [`RdaExtension::pp_begin_batch`] in same-tick batches
-/// of 64, so one load-table read (and one memo probe per distinct call
-/// site) serves a whole batch. This is the kernel behind the
-/// million-lifecycles-per-second target; by the batch–serial
-/// equivalence contract its checksum is exactly what the same pairs
-/// issued one at a time would produce.
-pub fn admission_batch_ops(pairs: usize) -> u64 {
-    const BATCH: usize = 64;
-    let cfg = RdaConfig::for_machine(&MachineConfig::xeon_e5_2420(), PolicyKind::Strict);
-    let mut ext = RdaExtension::new(cfg);
-    // 64 × 0.2 MB = 12.8 MB: a full batch always fits the 15 MB LLC,
-    // so every outcome is Run and every pair exercises the fast path.
-    let demand = PpDemand::llc(mb(0.2), ReuseLevel::High);
-    let mut reqs: Vec<BeginRequest> = Vec::with_capacity(BATCH);
-    let mut live = Vec::with_capacity(BATCH);
-    let mut t = 0u64;
-    let mut done = 0usize;
-    while done < pairs {
-        let n = BATCH.min(pairs - done);
-        t += 100;
-        reqs.clear();
-        for i in 0..n {
-            reqs.push(BeginRequest {
-                process: ProcessId((i % 8) as u32),
-                site: SiteId((i % 3) as u32),
-                demand,
-            });
-        }
-        live.clear();
-        for out in ext.pp_begin_batch(&reqs, SimTime::from_cycles(t)) {
-            match out.expect("audited demand always fits") {
-                BeginOutcome::Run { pp, .. } => live.push(pp),
-                other => panic!("expected Run, got {other:?}"),
-            }
-        }
-        t += 100;
-        for &pp in &live {
-            ext.pp_end(pp, SimTime::from_cycles(t))
-                .expect("period is live");
-        }
-        done += n;
     }
     let s = ext.stats();
     s.begins ^ s.ends.rotate_left(17) ^ s.fast_begins.rotate_left(34)
@@ -373,51 +324,8 @@ mod tests {
     #[test]
     fn kernels_are_deterministic() {
         assert_eq!(admission_ops(500), admission_ops(500));
-        assert_eq!(admission_batch_ops(500), admission_batch_ops(500));
         assert_eq!(churn_ops(200), churn_ops(200));
         assert_eq!(calibration_ops(1_000), calibration_ops(1_000));
-    }
-
-    #[test]
-    fn batched_kernel_is_serial_equivalent() {
-        // Re-drive the batch kernel's exact request stream through the
-        // one-at-a-time pp_begin and demand the same stats checksum
-        // (including the fast-begin count the memo cache produces).
-        const BATCH: usize = 64;
-        let pairs = 640;
-        let cfg = RdaConfig::for_machine(&MachineConfig::xeon_e5_2420(), PolicyKind::Strict);
-        let mut ext = RdaExtension::new(cfg);
-        let demand = PpDemand::llc(mb(0.2), ReuseLevel::High);
-        let mut live = Vec::new();
-        let mut t = 0u64;
-        let mut done = 0usize;
-        while done < pairs {
-            let n = BATCH.min(pairs - done);
-            t += 100;
-            live.clear();
-            for i in 0..n {
-                let out = ext
-                    .pp_begin(
-                        ProcessId((i % 8) as u32),
-                        SiteId((i % 3) as u32),
-                        demand,
-                        SimTime::from_cycles(t),
-                    )
-                    .expect("fits");
-                match out {
-                    BeginOutcome::Run { pp, .. } => live.push(pp),
-                    other => panic!("expected Run, got {other:?}"),
-                }
-            }
-            t += 100;
-            for &pp in &live {
-                ext.pp_end(pp, SimTime::from_cycles(t)).expect("live");
-            }
-            done += n;
-        }
-        let s = ext.stats();
-        let serial = s.begins ^ s.ends.rotate_left(17) ^ s.fast_begins.rotate_left(34);
-        assert_eq!(admission_batch_ops(pairs), serial);
     }
 
     #[test]

@@ -41,8 +41,8 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod diff;
+pub mod drain;
 pub mod explore;
 pub mod gen;
 pub mod model;
@@ -52,8 +52,8 @@ pub mod topo_model;
 pub mod topo_trace;
 pub mod trace;
 
-pub use batch::{check_batch_equivalence, check_headscan_property, headscan_prediction, quantize_ticks};
 pub use diff::{replay, Divergence, Oracle, ReplayReport};
+pub use drain::{check_headscan_property, headscan_prediction};
 pub use explore::{explore, Exploration, Op, Template};
 pub use gen::{fuzz, random_doc, shrink, FuzzFailure, GenParams};
 pub use model::{Effect, RefModel};

@@ -106,19 +106,6 @@ pub struct RdaStats {
     pub desyncs: u64,
 }
 
-/// One period request inside a [`RdaExtension::pp_begin_batch`] call —
-/// the arguments of a single [`RdaExtension::pp_begin`], minus the
-/// shared timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BeginRequest {
-    /// The process opening the period.
-    pub process: ProcessId,
-    /// The static begin site.
-    pub site: SiteId,
-    /// The declared demand.
-    pub demand: PpDemand,
-}
-
 /// Outcome of a `pp_begin` call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BeginOutcome {
@@ -618,151 +605,6 @@ impl RdaExtension {
                 })
             }
         }
-    }
-
-    /// Process a same-tick batch of `pp_begin`s in one call.
-    ///
-    /// Semantically this is *defined* as the serial fold: the returned
-    /// vector, every counter, and the final books are bit-identical to
-    /// calling [`Self::pp_begin`] once per request in slice order at
-    /// the same `now` (a differential proptest in `rda-check` enforces
-    /// exactly that). What the batch buys is the hot path: with no
-    /// trace sink and no overload control configured, the predicate for
-    /// the whole batch is evaluated against a **single load-table
-    /// read** ([`crate::monitor::LoadView`]) — capacity, usage limit,
-    /// and waitlist length live in registers across the loop, and the
-    /// monitor is written back once at the end with the exact epoch
-    /// advance the serial increments would have produced.
-    pub fn pp_begin_batch(
-        &mut self,
-        reqs: &[BeginRequest],
-        now: SimTime,
-    ) -> Vec<Result<BeginOutcome, RdaError>> {
-        // Tracing and overload control have per-item side effects
-        // (event emission, shedding, breaker probes) that the batched
-        // loop does not replicate; a non-gating policy never touches
-        // the books at all. All three take the literal serial fold.
-        if self.sink.is_some() || self.cfg.overload.is_some() || !self.cfg.policy.is_gating() {
-            return reqs
-                .iter()
-                .map(|q| self.pp_begin(q.process, q.site, q.demand, now))
-                .collect();
-        }
-        self.books_epoch += 1;
-        let view = self.monitor.load_view();
-        let caps = view.capacity;
-        let mut usage = view.usage;
-        let limits = [
-            self.cfg.policy.usage_limit(caps[0]),
-            self.cfg.policy.usage_limit(caps[1]),
-        ];
-        let mut wl_len = [
-            self.waitlist.len(Resource::ALL[0]),
-            self.waitlist.len(Resource::ALL[1]),
-        ];
-        // Net effect on the load table, applied in one write-back.
-        let mut added = [0u64; 2];
-        let mut admits = [0u64; 2];
-        let mut out = Vec::with_capacity(reqs.len());
-        for q in reqs {
-            self.stats.begins += 1;
-            let resource = q.demand.resource;
-            let i = resource.index();
-            let audited = match self.audit_demand(resource, q.demand.amount) {
-                Ok(amount) => amount,
-                Err(err) => {
-                    out.push(Err(err));
-                    continue;
-                }
-            };
-            let demand = PpDemand {
-                amount: audited,
-                ..q.demand
-            };
-            let accounted = self.cfg.policy.effective_demand(audited, caps[i]);
-            // 64-bit load-table overflow guard, against the running
-            // in-batch usage (exactly what the serial call would see).
-            if usage[i].checked_add(accounted).is_none() {
-                self.stats.clamped += 1;
-                out.push(Err(RdaError::DemandOverflow {
-                    resource,
-                    declared: demand.amount,
-                    capacity: caps[i],
-                }));
-                continue;
-            }
-            // Fast path: repeat entry of a recently validated site
-            // while no one is waitlisted ahead of us.
-            if wl_len[i] == 0
-                && self.fastpath.try_admit(
-                    q.process,
-                    q.site,
-                    resource,
-                    audited,
-                    usage[i],
-                    now,
-                    self.cfg.min_eval_interval_cycles,
-                )
-            {
-                usage[i] += accounted;
-                added[i] += accounted;
-                admits[i] += 1;
-                let pp = self
-                    .registry
-                    .register(q.process, q.site, demand, accounted, true, now);
-                self.stats.admitted += 1;
-                self.stats.fast_begins += 1;
-                out.push(Ok(BeginOutcome::Run { pp, fast: true }));
-                continue;
-            }
-            // Slow path: Algorithm 1 against the register-resident
-            // load view.
-            let remaining = caps[i] as i128 - usage[i] as i128;
-            match predicate::decide(accounted, caps[i], remaining, &self.cfg.policy) {
-                Decision::Run => {
-                    if accounted > limits[i] {
-                        self.stats.oversized_admits += 1;
-                    }
-                    usage[i] += accounted;
-                    added[i] += accounted;
-                    admits[i] += 1;
-                    let pp = self
-                        .registry
-                        .register(q.process, q.site, demand, accounted, true, now);
-                    self.stats.admitted += 1;
-                    let threshold = limits[i].saturating_sub(accounted);
-                    self.fastpath
-                        .store_run(q.process, q.site, resource, audited, threshold, now);
-                    out.push(Ok(BeginOutcome::Run { pp, fast: false }));
-                }
-                Decision::Pause => {
-                    // No overload control on this path, so no shedding:
-                    // register and queue.
-                    let pp = self
-                        .registry
-                        .register(q.process, q.site, demand, accounted, false, now);
-                    if let Err(e) = self.waitlist.push(
-                        resource,
-                        WaitEntry {
-                            pp,
-                            accounted,
-                            enqueued_at: now,
-                        },
-                    ) {
-                        self.registry.complete(pp);
-                        self.stats.desyncs += 1;
-                        out.push(Err(e));
-                        continue;
-                    }
-                    wl_len[i] += 1;
-                    self.stats.paused += 1;
-                    self.stats.max_waitlist = self.stats.max_waitlist.max(wl_len[i] as u64);
-                    out.push(Ok(BeginOutcome::Pause { pp, shed: None }));
-                }
-            }
-        }
-        self.monitor.commit_loads(added, admits);
-        out
     }
 
     /// Process a `pp_end` for a period previously returned by

@@ -15,27 +15,11 @@
 //!
 //! The table is laid out struct-of-arrays: each column (capacity,
 //! usage, overflow, epoch) is one small array indexed by
-//! [`Resource::index`]. The batched admission path reads the whole
-//! usage column in one [`ResourceMonitor::load_view`] call, decides a
-//! batch of periods against the copy, and writes the net effect back
-//! with [`ResourceMonitor::commit_loads`] — equivalent, increment by
-//! increment, to the serial calls it replaces.
+//! [`Resource::index`].
 
 use crate::api::Resource;
 
 const N: usize = Resource::ALL.len();
-
-/// A one-read copy of the load table's predicate-visible columns, for
-/// deciding a batch of same-tick admissions without re-reading the
-/// table per period. Indexed by [`Resource::index`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadView {
-    /// Nominal capacity per resource.
-    pub capacity: [u64; N],
-    /// Nominal usage per resource (excludes the overflow bucket, like
-    /// [`ResourceMonitor::usage`]).
-    pub usage: [u64; N],
-}
 
 /// Real-time estimation of hardware resource usage.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,26 +85,6 @@ impl ResourceMonitor {
     /// Usage-change epoch (bumped on every increment/decrement).
     pub fn epoch(&self, r: Resource) -> u64 {
         self.epoch[r.index()]
-    }
-
-    /// One read of the predicate-visible columns, for batched decisions.
-    pub fn load_view(&self) -> LoadView {
-        LoadView {
-            capacity: self.capacity,
-            usage: self.usage,
-        }
-    }
-
-    /// Write back the net effect of a decided batch: per resource,
-    /// `added[i]` more nominal usage from `admits[i]` admissions. The
-    /// epoch advances by the admission count, exactly as the same
-    /// admissions issued one [`Self::increment_load`] at a time would
-    /// have left it.
-    pub fn commit_loads(&mut self, added: [u64; N], admits: [u64; N]) {
-        for i in 0..N {
-            self.usage[i] += added[i];
-            self.epoch[i] += admits[i];
-        }
     }
 
     /// Account a newly admitted period's demand.
@@ -276,33 +240,5 @@ mod tests {
         let mut m = mon();
         m.increment_overflow(Resource::Llc, 10);
         m.decrement_overflow(Resource::Llc, 11);
-    }
-
-    #[test]
-    fn load_view_matches_the_accessors() {
-        let mut m = mon();
-        m.increment_load(Resource::Llc, 123);
-        m.increment_load(Resource::MemBandwidth, 45);
-        m.increment_overflow(Resource::Llc, 7); // invisible to the view
-        let v = m.load_view();
-        for r in Resource::ALL {
-            assert_eq!(v.capacity[r.index()], m.capacity(r));
-            assert_eq!(v.usage[r.index()], m.usage(r));
-        }
-    }
-
-    #[test]
-    fn commit_loads_is_equivalent_to_serial_increments() {
-        let mut serial = mon();
-        serial.increment_load(Resource::Llc, 10);
-        serial.increment_load(Resource::Llc, 20);
-        serial.increment_load(Resource::MemBandwidth, 5);
-
-        let mut batched = mon();
-        batched.commit_loads([30, 5], [2, 1]);
-        assert_eq!(serial, batched);
-        for r in Resource::ALL {
-            assert_eq!(serial.epoch(r), batched.epoch(r));
-        }
     }
 }

@@ -47,12 +47,10 @@ pub fn try_schedule(demand: &PpDemand, monitor: &ResourceMonitor, policy: &Polic
 /// The decision core of Algorithm 1, on pre-resolved inputs: the
 /// *accounted* demand (already policy-scaled by
 /// [`PolicyKind::effective_demand`]), the resource's nominal capacity,
-/// and its signed remaining space. Shared by [`try_schedule`], the
-/// batched begin path (which reads capacity and usage once per batch
-/// from a [`crate::monitor::LoadView`]), and the waitlist drain (whose
-/// entries store their accounted demand, making the registry lookup per
-/// probe unnecessary). All three therefore compute bit-identical
-/// verdicts by construction.
+/// and its signed remaining space. Shared by [`try_schedule`] and the
+/// waitlist drain (whose entries store their accounted demand, making
+/// the registry lookup per probe unnecessary). Both therefore compute
+/// bit-identical verdicts by construction.
 pub fn decide(accounted: u64, capacity: u64, remaining: i128, policy: &PolicyKind) -> Decision {
     // Oversized-demand guard: admission can never succeed, so don't
     // deadlock the process.

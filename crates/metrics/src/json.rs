@@ -140,6 +140,7 @@ impl Json {
     /// recursion stack.
     pub fn parse_checked(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -236,6 +237,7 @@ impl fmt::Display for Escaped<'_> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -349,11 +351,16 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar.
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash at once. Both are ASCII, so the run
+                    // ends on a char boundary of the `&str` input (and
+                    // every branch above leaves `pos` on one too).
+                    let run = rest
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -398,7 +405,7 @@ impl Parser<'_> {
                 return Err(self.err("expected digit"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
             offset: start,
             message: format!("bad number '{text}'"),
@@ -631,5 +638,95 @@ mod tests {
     fn object_keys_are_sorted_deterministically() {
         let v = Json::parse("{\"z\":1,\"a\":2}").unwrap();
         assert_eq!(v.to_string_compact(), "{\"a\":2,\"z\":1}");
+    }
+
+    #[test]
+    fn multi_megabyte_string_document_round_trips() {
+        // Strings dominate the size: plain ASCII runs, multibyte
+        // scalars (2-, 3- and 4-byte UTF-8) and every escape the
+        // writer emits. String decoding must stay linear in the input
+        // for this to finish in well under a second.
+        let pieces = [
+            "plain ascii run ",
+            "ünïcødé ",
+            "日本語 ",
+            "🦀 ",
+            "\"quoted\" ",
+            "back\\slash ",
+            "line\nfeed\ttab\r ",
+            "\u{1}\u{1f} ",
+        ];
+        let items: Vec<Json> = (0..60_000)
+            .map(|i| {
+                let mut s = String::new();
+                for k in 0..4 {
+                    s.push_str(pieces[(i * 7 + k * 3) % pieces.len()]);
+                }
+                s.push_str(&i.to_string());
+                Json::Str(s)
+            })
+            .collect();
+        let doc = Json::obj([("strings", Json::Arr(items))]);
+        let compact = doc.to_string_compact();
+        let len = compact.len();
+        assert!(len > 3_000_000, "document is {len} bytes");
+        assert_eq!(Json::parse(&compact).unwrap(), doc);
+        assert_eq!(Json::parse(&doc.to_string_pretty()).unwrap(), doc);
+    }
+
+    #[test]
+    fn string_malformations_report_the_same_errors() {
+        for (bad, err) in [
+            ("\"abc", "unterminated string at byte 4"),
+            ("\"é", "unterminated string at byte 3"),
+            ("\"\\", "dangling escape at byte 1"),
+            ("\"\\q\"", "bad escape at byte 3"),
+            ("\"\\é\"", "bad escape at byte 3"),
+            ("\"\\u12", "truncated \\u escape at byte 3"),
+            ("\"\\uZZZZ\"", "bad \\u escape at byte 3"),
+            ("\"\\u00é\"", "bad \\u escape at byte 3"),
+            ("[\"日本\" \"x\"]", "expected ',' or ']' at byte 10"),
+            ("{\"é\" 1}", "expected ':' at byte 6"),
+        ] {
+            assert_eq!(Json::parse(bad).unwrap_err(), err, "input {bad:?}");
+        }
+    }
+
+    #[test]
+    fn arbitrary_text_never_panics_and_parses_as_before() {
+        // Seeded fuzz over documents glued from JSON fragments,
+        // multibyte scalars, escapes and stray bytes. No input may
+        // panic, and the folded digest of every outcome (value or
+        // error offset and message) is the one the previous
+        // per-character string decoder produced on the same inputs.
+        #[rustfmt::skip]
+        let pieces = [
+            "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u", "\\u00e9", "\\uD83D", "\\u12",
+            "\\n", "\\q", "\\/", "0", "-1.5e3", "1.", "true", "nul", " ", "\n", "a", "é",
+            "ü", "日本", "🦀", "\u{1}", "\"k\":", "\"é\\\"x\"", "e", "+", ".",
+        ];
+        let mut rng = rda_simcore::rng::SplitMix64::new(0x4a53_4f4e_4655_5a5a);
+        let mut digest = rda_simcore::Fnv1a64::new();
+        for _ in 0..20_000 {
+            // Mostly open a string or container first, so the run
+            // reaches the string decoder rather than failing at byte 0.
+            let openers = ["\"", "[\"", "{\"k\":\"", "[", "{", ""];
+            let mut text = String::from(openers[rng.next_below(openers.len() as u64) as usize]);
+            for _ in 0..rng.next_below(24) {
+                let k = rng.next_below(pieces.len() as u64 + 1) as usize;
+                match pieces.get(k) {
+                    Some(piece) => text.push_str(piece),
+                    // Any scalar value (surrogate codes fold to U+FFFD).
+                    None => text.push(
+                        char::from_u32(rng.next_below(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+                    ),
+                }
+            }
+            match Json::parse_checked(&text) {
+                Ok(v) => digest.write_str("ok").write_str(&v.to_string_compact()),
+                Err(e) => digest.write_usize(e.offset).write_str(&e.message),
+            };
+        }
+        assert_eq!(digest.finish(), 0x99f5_a753_f7d5_483c);
     }
 }

@@ -44,15 +44,6 @@ pub struct SimConfig {
     /// Fault injection: when set, a deterministic [`crate::faults::FaultPlan`]
     /// is expanded from `jitter_seed` and applied to the workload.
     pub faults: Option<FaultConfig>,
-    /// Number of shards the per-interval thread-advance computation is
-    /// split into (`1` = fully serial, the default). The advance step
-    /// of each running thread is a pure function of the pre-interval
-    /// state, so shards compute independently and the results are
-    /// applied serially in running order — the simulation is therefore
-    /// **bit-identical for every shard count** (a property the test
-    /// suite enforces). Sharding only pays off for very wide machines;
-    /// small cells should stay at `1`.
-    pub interior_shards: usize,
     /// Record every call the simulator makes into the RDA extension as
     /// a [`crate::system::RdaCall`], retrievable from
     /// [`crate::SystemSim::rda_calls`] after the run. Off by default
@@ -92,18 +83,9 @@ impl SimConfig {
             demand_audit: DemandAudit::Trust,
             waitlist_timeout: None,
             faults: None,
-            interior_shards: 1,
             record_rda_calls: false,
             trace: None,
         }
-    }
-
-    /// Split the per-interval advance computation into `n` shards
-    /// (clamped to at least 1). Digest-neutral by construction; see
-    /// [`SimConfig::interior_shards`].
-    pub fn with_interior_shards(mut self, n: usize) -> Self {
-        self.interior_shards = n.max(1);
-        self
     }
 
     /// Enable timeline sampling at the given period in milliseconds.

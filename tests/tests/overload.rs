@@ -7,7 +7,9 @@
 use rda_check::{doc_from_calls, replay};
 use rda_core::{mb, BreakerConfig, OverloadConfig, PolicyKind, RdaConfig, ShedPolicy};
 use rda_machine::MachineConfig;
+use rda_sim::runner::DEFAULT_ROOT_SEED;
 use rda_sim::{FaultConfig, TrafficConfig, TrafficSim};
+use rda_simcore::{Fnv1a64, SplitMix64};
 
 fn rda_with(policy: ShedPolicy) -> RdaConfig {
     RdaConfig::for_machine(&MachineConfig::xeon_e5_2420(), PolicyKind::Strict).with_overload(
@@ -94,4 +96,48 @@ fn deadline_expiries_match_between_engine_and_model() {
     let doc = doc_from_calls(rda, &result.calls.unwrap());
     let report = replay(&doc).expect("replays clean");
     assert_eq!(report.steps, doc.events.len());
+}
+
+/// The `exp_overload --smoke` grid (2 rates × 3 shed policies × fault
+/// rates {0, 0.1}, 50 ms windows, default root seed) folds to a pinned
+/// sweep digest. This is the whole traffic engine's golden value: every
+/// arrival, shed, expiry, retry and fault-driven reclamation of twelve
+/// cells feeds it, so any change to admission order or outcome shows.
+#[test]
+fn overload_smoke_sweep_digest_is_pinned() {
+    let machine = MachineConfig::xeon_e5_2420();
+    let mut digest = Fnv1a64::new();
+    let mut index = 0usize;
+    for rate in [2_000.0, 12_000.0] {
+        for policy in [
+            ShedPolicy::RejectNewest,
+            ShedPolicy::RejectOldest,
+            ShedPolicy::DegradeToOverflow,
+        ] {
+            for fault_rate in [0.0, 0.1] {
+                let rda = RdaConfig::for_machine(&machine, PolicyKind::Strict).with_overload(
+                    OverloadConfig {
+                        waitlist_cap: 16,
+                        shed_policy: policy,
+                        deadline_cycles: Some(40_000_000),
+                        breaker: Some(BreakerConfig {
+                            high_water: mb(14.0),
+                            low_water: mb(8.0),
+                            trip_after: 4,
+                            recover_after: 4,
+                            shed_min_demand: mb(1.0),
+                        }),
+                    },
+                );
+                let mut sim = TrafficSim::new(TrafficConfig::web_default(rate, 0.05), rda);
+                if fault_rate > 0.0 {
+                    sim = sim.with_faults(FaultConfig::uniform(fault_rate));
+                }
+                let r = sim.run(SplitMix64::derive_stream(DEFAULT_ROOT_SEED, index as u64));
+                digest.write_usize(index).write_u64(r.digest());
+                index += 1;
+            }
+        }
+    }
+    assert_eq!(digest.finish(), 0x74ac_13ff_1d47_add0);
 }
