@@ -7,9 +7,10 @@
 use proptest::prelude::*;
 use rda_check::{replay, replay_lifted, topo_doc_from_calls, GenParams, TopoEffect};
 use rda_core::{
-    BreakerConfig, Demand, LayerId, LayerSet, LayerSpec, OverloadConfig, PolicyKind, ResourceKind,
-    ShedPolicy, TopoConfig, TopoSpec,
+    mb, BreakerConfig, Demand, LayerId, LayerSet, LayerSpec, OverloadConfig, PolicyKind,
+    ResourceKind, ShedPolicy, TopoConfig, TopoSpec,
 };
+use rda_sim::runner::DEFAULT_ROOT_SEED;
 use rda_sim::{
     run_topo_cells, topo_sweep_digest, FaultConfig, TopoCall, TopoCell, TopoClass,
     TopoTrafficConfig, TopoTrafficSim,
@@ -121,6 +122,62 @@ fn recorded_topo_overload_fault_schedules_replay_with_zero_divergence() {
             "{shed:?}: schedule never queued — not an overload test"
         );
     }
+}
+
+/// `exp_layers`' private shapes, copied so the pinned grid below is the
+/// binary's `--smoke` grid exactly.
+fn layers_topo(nodes: usize, guarantee: bool) -> TopoConfig {
+    let latency = if guarantee {
+        LayerSpec::new("latency", PolicyKind::Strict)
+            .with_guarantee(Demand::new(4 << 20, 1_500, 64 << 20))
+    } else {
+        LayerSpec::new("latency", PolicyKind::Strict)
+    };
+    let layers = LayerSet::new(vec![LayerSpec::new("batch", PolicyKind::Strict), latency]);
+    TopoConfig::new(
+        TopoSpec::uniform(nodes, 15_360 << 10, 6_000, 1 << 30),
+        layers,
+    )
+    .with_waitlist_timeout_cycles(40_000_000)
+}
+
+fn layers_overload_cfg(shed_policy: ShedPolicy) -> OverloadConfig {
+    OverloadConfig {
+        waitlist_cap: 16,
+        shed_policy,
+        deadline_cycles: Some(40_000_000),
+        breaker: Some(BreakerConfig {
+            high_water: mb(14.0),
+            low_water: mb(8.0),
+            trip_after: 4,
+            recover_after: 4,
+            shed_min_demand: mb(1.0),
+        }),
+    }
+}
+
+/// The `exp_layers --smoke` grid (node counts {1, 2}, guarantee off/on,
+/// three shed policies, 9 000 rps, fault rate 0.05, 40 ms windows,
+/// default root seed) folds to a pinned sweep digest. This is the
+/// topology traffic engine's golden value: every placement, shed,
+/// expiry, retry and fault-driven reclamation of twelve cells feeds it.
+#[test]
+fn layers_smoke_sweep_digest_is_pinned() {
+    let mut cells = Vec::new();
+    for nodes in [1, 2] {
+        for guarantee in [false, true] {
+            for (i, policy) in SHED_POLICIES.into_iter().enumerate() {
+                cells.push(TopoCell {
+                    label: format!("{nodes}n/{guarantee}/{i}"),
+                    traffic: TopoTrafficConfig::two_tenant(9_000.0, 0.04),
+                    topo: layers_topo(nodes, guarantee).with_overload(layers_overload_cfg(policy)),
+                    faults: Some(FaultConfig::uniform(0.05)),
+                });
+            }
+        }
+    }
+    let records = run_topo_cells(&cells, 2, DEFAULT_ROOT_SEED);
+    assert_eq!(topo_sweep_digest(&records), 0xd4d7_d9a1_7db0_5c48);
 }
 
 proptest! {
