@@ -20,10 +20,8 @@
 use rda_bench::cli::{parse_sweep_args, SWEEP_USAGE};
 use rda_core::{mb, BreakerConfig, OverloadConfig, PolicyKind, RdaConfig, ShedPolicy};
 use rda_machine::MachineConfig;
-use rda_sim::{FaultConfig, TrafficConfig, TrafficResult, TrafficSim};
+use rda_sim::{run_indexed, FaultConfig, TrafficConfig, TrafficSim};
 use rda_simcore::{Fnv1a64, SplitMix64};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One point on the degradation curve.
 #[derive(Debug, Clone, Copy)]
@@ -119,7 +117,9 @@ fn main() {
         .collect();
 
     let machine = MachineConfig::xeon_e5_2420();
-    let run_cell = |index: usize| -> TrafficResult {
+    // Results come back by grid index, so the digest (and the table)
+    // are independent of worker count and completion order.
+    let results = run_indexed(cells.len(), opts.threads, |index| {
         let cell = cells[index];
         let mut overload = overload_cfg();
         overload.shed_policy = cell.policy;
@@ -131,25 +131,6 @@ fn main() {
             sim = sim.with_faults(FaultConfig::uniform(cell.fault_rate));
         }
         sim.run(SplitMix64::derive_stream(opts.root_seed, index as u64))
-    };
-
-    // Indexed slots + an atomic cursor: results land by grid index, so
-    // the digest (and the table) are independent of worker count and
-    // completion order.
-    let slots: Vec<Mutex<Option<TrafficResult>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = if opts.threads == 0 { auto } else { opts.threads }.clamp(1, cells.len());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                *slots[i].lock().unwrap() = Some(run_cell(i));
-            });
-        }
     });
 
     println!(
@@ -168,15 +149,24 @@ fn main() {
     );
     let to_ms = |cycles: u64| cycles as f64 / machine.freq_hz * 1e3;
     let mut digest = Fnv1a64::new();
-    for (i, slot) in slots.into_iter().enumerate() {
-        let r = slot.into_inner().unwrap().expect("unexecuted cell");
-        let cell = cells[i];
-        digest.write_usize(i).write_u64(r.digest());
-        println!(
-            "{:<8} {:<14} {:<6} {:>8} {:>10.0} {:>7} {:>7} {:>7} {:>9.2} {:>9.2} {:>9.2}",
+    for (i, (cell, result)) in cells.iter().zip(&results).enumerate() {
+        let row = format!(
+            "{:<8} {:<14} {:<6}",
             format!("{:.0}", cell.rate_per_sec),
             policy_label(cell.policy),
             format!("{:.2}", cell.fault_rate),
+        );
+        let r = match result {
+            Ok(r) => r,
+            Err(msg) => {
+                digest.write_usize(i).write_str(msg);
+                println!("{row} FAILED: {msg}");
+                continue;
+            }
+        };
+        digest.write_usize(i).write_u64(r.digest());
+        println!(
+            "{row} {:>8} {:>10.0} {:>7} {:>7} {:>7} {:>9.2} {:>9.2} {:>9.2}",
             r.arrivals,
             r.goodput_per_sec,
             r.rda.shed,
@@ -189,4 +179,7 @@ fn main() {
     }
     println!();
     println!("sweep digest: {:#018x}", digest.finish());
+    if results.iter().any(|r| r.is_err()) {
+        std::process::exit(1);
+    }
 }

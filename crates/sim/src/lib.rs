@@ -16,8 +16,10 @@
 //! [`experiment`] wraps it into the paper's measurement loops
 //! (Figures 7–10), [`overhead`] reproduces the Figure 11 granularity
 //! study, [`concurrency`] the Figure 13 interference study, and
-//! [`runner`] shards whole configuration grids across a deterministic
-//! work-stealing thread pool.
+//! [`runner`] runs whole configuration grids on a deterministic pool
+//! of scoped worker threads. [`traffic`] drives open-system request
+//! traffic through either admission engine ([`topo_traffic`] supplies
+//! the topology one).
 
 #![warn(missing_docs)]
 
@@ -35,8 +37,8 @@ pub use config::SimConfig;
 pub use faults::{FaultConfig, FaultPlan, PhaseFault};
 pub use experiment::{run_workload, PolicyRun};
 pub use runner::{
-    run_sweep, run_sweep_configured, RunConfig, RunError, RunRecord, RunnerOptions, Shard,
-    SweepGrid, SweepResult,
+    run_indexed, run_sweep, run_sweep_configured, RunConfig, RunError, RunRecord, RunnerOptions,
+    Shard, SweepGrid, SweepResult,
 };
 pub use system::SystemSim;
 pub use topo_traffic::{
